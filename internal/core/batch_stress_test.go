@@ -73,14 +73,12 @@ func TestBatchAtomicityStress(t *testing.T) {
 					return
 				}
 				if len(res.Rows) == 0 && lastGen < 0 && st.Epoch == 1 {
-					// Bounded staleness (documented in core.currentView):
-					// while a refresh is in flight, readers are served the
-					// newest PUBLISHED view — until the first post-seed
-					// publication lands, that is the initial empty view
-					// (epoch 1, from Analyze), which is itself a batch
-					// boundary. Pinning the exemption to that epoch keeps
-					// it from masking a real mid-batch empty view, which
-					// would carry a later epoch.
+					// A reader that starts before the writer's first batch
+					// returns is served the initial empty view (epoch 1,
+					// from Analyze), which is itself a batch boundary.
+					// Pinning the exemption to that epoch keeps it from
+					// masking a real mid-batch empty view, which would
+					// carry a later epoch.
 					continue
 				}
 				if len(res.Rows) != rowsPerGen {

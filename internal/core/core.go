@@ -203,7 +203,11 @@ func (m MaintenanceStats) Sub(o MaintenanceStats) MaintenanceStats {
 // queryView is one immutable published serving state. Everything a
 // consistent query reads lives here, so queries need no locks.
 type queryView struct {
-	epoch      uint64
+	epoch uint64
+	// seq is the feed sequence (System.fed) read inside the write freeze
+	// that published the view: the view contains every change-feed event
+	// counted up to seq.
+	seq        uint64
 	snap       *engine.Snapshot
 	hg         *conflict.ShardedSnapshot
 	ti         *conflict.TupleIndex
@@ -228,14 +232,15 @@ type retiredView struct {
 type System struct {
 	db *engine.DB
 
-	// view is the atomically published immutable serving state; stale
-	// flags that queued work invalidates it. The fast path loads stale
-	// then view and never locks. Publication happens inside the engine
-	// write freeze in the order view.Store then stale.Store(false), so a
-	// reader that observes stale==false loads at least that publication's
-	// view — which contains every write sequenced before it.
-	view  atomic.Pointer[queryView]
-	stale atomic.Bool
+	// view is the atomically published immutable serving state. fed
+	// counts change-feed events (DML deltas, DDL, invalidations); each
+	// advances it under qmu, and a publisher reads it under qmu inside
+	// the write freeze, stamping the view with it. The view is stale
+	// exactly when view.seq < fed. A query reads fed on entry and serves
+	// the published view lock-free only if it is at least that new, so
+	// it sees every write that returned before it started.
+	view atomic.Pointer[queryView]
+	fed  atomic.Uint64
 
 	// mu serializes view publication and guards the analysis state below.
 	// The Serialized (baseline) query mode additionally read-locks it
@@ -353,7 +358,6 @@ func NewSystemShards(db *engine.DB, cs []constraint.Constraint, shards int) *Sys
 		foldStop:    make(chan struct{}),
 		foldDone:    make(chan struct{}),
 	}
-	s.stale.Store(true)
 	db.AddListener(s)
 	go s.maintainLoop()
 	return s
@@ -461,17 +465,13 @@ func (s *System) validateConstraintLocked(c constraint.Constraint) error {
 }
 
 // invalidateLocked schedules a full re-detection and marks the published
-// view stale. The caller must hold mu: holding it excludes a concurrent
-// refreshViewLocked, whose stale.Store(false) could otherwise land after
-// our stale.Store(true) and permanently strand needFull behind a "fresh"
-// view. (SchemaChanged is the one caller that cannot take mu — see its
-// ordering argument.)
+// view stale by advancing the feed sequence. The caller holds mu.
 func (s *System) invalidateLocked() {
 	s.qmu.Lock()
 	s.needFull = true
 	s.pending = nil
+	s.fed.Add(1)
 	s.qmu.Unlock()
-	s.stale.Store(true)
 }
 
 // maxPendingDeltas caps the delta queue. Past it, a bulk load is under
@@ -493,8 +493,8 @@ func (s *System) DataChanged(table string, ch storage.Change) {
 			s.pending = append(s.pending, conflict.Delta{Table: table, Change: ch})
 		}
 	}
+	s.fed.Add(1)
 	s.qmu.Unlock()
-	s.stale.Store(true)
 	s.nudgeCheckpointer()
 	s.nudgeFolder()
 }
@@ -517,8 +517,8 @@ func (s *System) DataBatch(changes []storage.TableChange) {
 			}
 		}
 	}
+	s.fed.Add(1)
 	s.qmu.Unlock()
-	s.stale.Store(true)
 	s.nudgeCheckpointer()
 	s.nudgeFolder()
 }
@@ -530,15 +530,15 @@ func (s *System) DataBatch(changes []storage.TableChange) {
 // It must NOT take mu: the caller holds the engine write sequencer, and
 // a publisher holding mu acquires that sequencer (FreezeWrites) — taking
 // mu here would deadlock. The mu-free ordering is still safe: DDL holds
-// the sequencer, so this call can only run before a publisher's frozen
-// section (the drain then observes needFull) or after it (our
-// stale.Store(true) lands after the publisher's stale.Store(false)).
+// the sequencer, so this call runs either before a publisher's frozen
+// section (the drain observes needFull and the advanced sequence) or
+// after it (the advanced sequence marks the new view stale).
 func (s *System) SchemaChanged(string) {
 	s.qmu.Lock()
 	s.needFull = true
 	s.pending = nil
+	s.fed.Add(1)
 	s.qmu.Unlock()
-	s.stale.Store(true)
 	// DDL changes the schemas residue predicates are compiled against:
 	// advance the constraint epoch so the rewriter and the compiled
 	// tier-plan cache rebuild (cepoch is atomic — no mu needed, matching
@@ -563,7 +563,7 @@ func (s *System) Analyze() (conflict.DetectStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.invalidateLocked()
-	if _, err := s.refreshViewLocked(); err != nil {
+	if _, err := s.refreshViewLocked(s.fed.Load()); err != nil {
 		return conflict.DetectStats{}, err
 	}
 	return s.detStats, nil
@@ -646,39 +646,32 @@ func (s *System) PendingDeltas() int {
 	return len(s.pending)
 }
 
-// currentView returns a query view to serve from, publishing a fresh one
-// if the current publication is stale. The fast path — no queued work —
-// is lock-free. When a refresh is already in flight, concurrent queries
-// serve the newest published view instead of queueing behind the
-// publisher: the served state is still a consistent cut (bounded
-// staleness), and the single publisher keeps the view moving forward.
+// currentView returns a query view that contains every write whose
+// change feed was delivered before the call — in particular every write
+// the calling goroutine made (engine writes return only after delivery),
+// so a caller always reads its own writes. It reads the feed sequence on
+// entry; the fast path serves the published view lock-free when the
+// view's stamp is at least that sequence. Otherwise it blocks on mu:
+// by then either another publisher (the maintainer, a concurrent query)
+// has published a new enough view, or this call publishes one itself.
+// Pinned snapshots are the only way to be served an older state.
 func (s *System) currentView() (*queryView, error) {
-	if !s.stale.Load() {
-		if v := s.view.Load(); v != nil {
-			return v, nil
-		}
-	}
-	if s.mu.TryLock() {
-		defer s.mu.Unlock()
-		return s.refreshViewLocked()
-	}
-	if v := s.view.Load(); v != nil {
+	want := s.fed.Load()
+	if v := s.view.Load(); v != nil && v.seq >= want {
 		return v, nil
 	}
-	// No view published yet (first analysis in flight): wait for it.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.refreshViewLocked()
+	return s.refreshViewLocked(want)
 }
 
 // refreshViewLocked brings the analysis up to date and publishes a fresh
-// view. The caller holds mu (exclusive). If the published view is already
-// fresh (another goroutine got here first) it is returned unchanged.
-func (s *System) refreshViewLocked() (*queryView, error) {
-	if !s.stale.Load() {
-		if v := s.view.Load(); v != nil {
-			return v, nil
-		}
+// view. The caller holds mu (exclusive). If the published view already
+// covers feed sequence want (another goroutine got here first) it is
+// returned unchanged.
+func (s *System) refreshViewLocked(want uint64) (*queryView, error) {
+	if v := s.view.Load(); v != nil && v.seq >= want {
+		return v, nil
 	}
 	// Freeze writers: no write is in flight, every delivered delta is
 	// queued, and nothing can change until release. Analysis and the
@@ -688,6 +681,7 @@ func (s *System) refreshViewLocked() (*queryView, error) {
 	pending := s.pending
 	s.pending = nil
 	full := !s.analyzed || s.needFull
+	seq := s.fed.Load()
 	s.qmu.Unlock()
 	var (
 		err        error
@@ -709,12 +703,11 @@ func (s *System) refreshViewLocked() (*queryView, error) {
 		release()
 		return nil, err
 	}
-	// Build and publish the whole view inside the frozen section, and
-	// only then clear staleness: writers are excluded, so no delta can
-	// slip between the drain and the publication, and a reader that
-	// observes stale==false is guaranteed to load (at least) this view —
-	// which contains every write sequenced before it. That ordering is
-	// what makes single-threaded read-your-writes hold.
+	// Build and publish the whole view inside the frozen section: writers
+	// are excluded, so no delta can slip between the drain and the
+	// publication, and the view holds every feed event counted up to seq.
+	// A reader whose entry sequence is at most seq may serve it — that is
+	// what makes read-your-writes hold.
 	snap := s.db.SnapshotFrozen()
 	hgSnap := s.hg.Snapshot()
 	s.epoch++
@@ -740,6 +733,7 @@ func (s *System) refreshViewLocked() (*queryView, error) {
 	s.maint.PendingOverflows = s.overflows.Load()
 	v := &queryView{
 		epoch:      s.epoch,
+		seq:        seq,
 		snap:       snap,
 		hg:         hgSnap,
 		ti:         conflict.NewSnapshotTupleIndex(snap.Tables()),
@@ -752,7 +746,6 @@ func (s *System) refreshViewLocked() (*queryView, error) {
 	}
 	v.maint = s.maint
 	s.view.Store(v)
-	s.stale.Store(false)
 	release()
 	return v, nil
 }
@@ -993,7 +986,7 @@ func (s *System) ConsistentQueryPlan(plan ra.Node, opts Options) (*engine.Result
 func (s *System) ConsistentQueryPlanContext(ctx context.Context, plan ra.Node, opts Options) (*engine.Result, *Stats, error) {
 	if opts.Serialized {
 		s.mu.Lock()
-		v, err := s.refreshViewLocked()
+		v, err := s.refreshViewLocked(s.fed.Load())
 		s.mu.Unlock()
 		if err != nil {
 			return nil, nil, err

@@ -75,6 +75,10 @@ func (s *System) maintainLoop() {
 	}
 }
 
+// testFoldHook, when set (tests only), runs in eagerFold just after the
+// maintainer takes mu, so a test can park the maintainer mid-fold.
+var testFoldHook func()
+
 // eagerFold drains the delta queue into the hypergraph and publishes the
 // folded view, if there is anything to fold. The cheap qmu precheck
 // keeps idle ticks from touching mu at all; the real decision is
@@ -90,10 +94,13 @@ func (s *System) eagerFold() {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if h := testFoldHook; h != nil {
+		h()
+	}
 	if !s.foldableNow() {
 		return
 	}
-	if _, err := s.refreshViewLocked(); err != nil {
+	if _, err := s.refreshViewLocked(s.fed.Load()); err != nil {
 		// Park the failure for MaintenanceHealth; the next query's own
 		// refresh will hit — and report — the same error.
 		s.maintFail.Store(&errBox{err: err})

@@ -66,6 +66,80 @@ func TestMaintainEagerFoldWithoutQuery(t *testing.T) {
 	}
 }
 
+// TestMaintainReadYourWrites pins read-your-writes while the maintainer
+// holds mu mid-fold. A hook parks the maintainer right after it takes mu;
+// one goroutine then writes and queries, and must see its own write. A
+// query that served the last published view whenever mu was busy returns
+// at once with the pre-write state; a correct query blocks until the
+// maintainer is released (after a grace period) and then serves a view
+// containing the write. The outcome on correct code does not depend on
+// how long the grace is.
+func TestMaintainReadYourWrites(t *testing.T) {
+	defer func() { testFoldHook = nil }()
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	testFoldHook = func() {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+	}
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+
+	db := engine.New()
+	mustExec(db, "CREATE TABLE t (k INT, v INT)")
+	mustExec(db, "INSERT INTO t VALUES (1, 100)")
+	s := NewSystem(db, []constraint.Constraint{constraint.FD{Rel: "t", LHS: []string{"k"}, RHS: []string{"v"}}})
+	defer s.Close()
+	defer unpark() // runs before Close, which waits for the maintainer
+	if _, err := s.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+
+	// This write nudges the maintainer, which parks holding mu.
+	mustExec(db, "INSERT INTO t VALUES (2, 200)")
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("maintainer never reached the fold hook")
+	}
+
+	type answer struct {
+		rows []string
+		err  error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		mustExec(db, "INSERT INTO t VALUES (3, 300)")
+		res, _, err := s.ConsistentQuery("SELECT * FROM t", Options{})
+		if err != nil {
+			done <- answer{err: err}
+			return
+		}
+		done <- answer{rows: rowStrings(res.Rows)}
+	}()
+	var got answer
+	select {
+	case got = <-done:
+	case <-time.After(200 * time.Millisecond):
+		unpark()
+		select {
+		case got = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("query never returned after the maintainer was released")
+		}
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	want := []string{"(1, 100)", "(2, 200)", "(3, 300)"}
+	if strings.Join(got.rows, " ") != strings.Join(want, " ") {
+		t.Fatalf("query after own write served %v, want %v", got.rows, want)
+	}
+}
+
 // TestMaintainPendingOverflowFullRebuild pins the delta-queue overflow
 // path: with eager folding disabled and a tiny queue cap, a write burst
 // must trip the overflow counter, schedule a full re-detection, and still

@@ -364,6 +364,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// testConsistentQueryHook, when set (tests only), runs in
+// handleConsistentQuery after admission and after the request context is
+// built, so a test can hold the in-flight slot for as long as it needs.
+var testConsistentQueryHook func(ctx context.Context)
+
 func (s *Server) handleConsistentQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -378,6 +383,9 @@ func (s *Server) handleConsistentQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
+	if h := testConsistentQueryHook; h != nil {
+		h(ctx)
+	}
 
 	var opts []hippo.Option
 	if req.Materialized {

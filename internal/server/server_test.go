@@ -396,8 +396,15 @@ func TestDeadlineEnforcementOverHTTP(t *testing.T) {
 }
 
 // Admission control: with one in-flight slot a concurrent query is shed
-// with a typed 429, and capacity returns once the slot frees.
+// with a typed 429, and capacity returns once the slot frees. The slow
+// query is held in its slot until its deadline passes by a hook, not by
+// the join's own cost: the rewrite tier may answer the join well inside
+// the 2s deadline.
 func TestOverloadAdmission(t *testing.T) {
+	testConsistentQueryHook = func(ctx context.Context) { <-ctx.Done() }
+	// Registered before the server's own cleanup, so it runs after the
+	// server has closed and no handler can still read the hook.
+	t.Cleanup(func() { testConsistentQueryHook = nil })
 	_, c := newTestServer(t, bigJoinServerDB(t, 3000), Config{MaxInFlight: 1})
 	ctx := context.Background()
 
