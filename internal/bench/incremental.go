@@ -13,7 +13,9 @@ import (
 //
 //   - full-rebuild: the pre-refactor lifecycle, simulated by calling
 //     System.Invalidate() after every update so the next consistent query
-//     pays a complete conflict re-detection;
+//     pays a complete conflict re-detection. The background maintainer
+//     is paused, since it would otherwise fold some updates as deltas
+//     in the window between the write and the Invalidate;
 //   - incremental: the live pipeline, where each DML delta probes the
 //     per-constraint hash indexes and touches only the affected
 //     hyperedges.
@@ -48,6 +50,10 @@ func E10IncrementalMaintenance(sc Scale) (Table, error) {
 		sys, _, err := empSystem(n, 0.02, 23)
 		if err != nil {
 			return out, err
+		}
+		defer sys.Close()
+		if invalidate {
+			sys.SetEagerFolding(false)
 		}
 		db := sys.DB()
 		base := sys.Maintenance()
